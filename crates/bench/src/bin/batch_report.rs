@@ -10,10 +10,11 @@
 //! single sub-reply: whatever the batch size, each query's answer must
 //! equal the direct in-process `execute` on the oracle pipeline.
 //!
-//! Batching buys throughput two ways: the batched probe sweeps in
-//! `td-core`/`td-index` run the per-query work on scoped threads (which
-//! needs cores), and a 16-query batch pays the framing/queueing/cache
-//! round-trip once instead of 16 times (which doesn't). Like
+//! Batching buys throughput two ways: the server answers a batch
+//! frame's sub-requests on scoped threads via `td_core::run_batch`
+//! (which needs cores), and a 16-query batch pays the
+//! framing/queueing/cache round-trip once instead of 16 times (which
+//! doesn't). Like
 //! `shard_report`, the ≥1.5× speedup assertion is armed only on ≥4-core
 //! machines; on fewer cores the sweep still runs and records what
 //! amortization alone buys.
@@ -349,8 +350,8 @@ fn main() {
         );
     } else {
         println!(
-            "note: only {cores} core(s) available — the batched probe sweeps \
-             cannot run queries in parallel, so the >= 1.5x speedup assertion \
+            "note: only {cores} core(s) available — a batch frame's \
+             sub-requests cannot run in parallel, so the >= 1.5x speedup assertion \
              is skipped and the sweep measures round-trip amortization instead"
         );
     }

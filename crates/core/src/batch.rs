@@ -1,19 +1,16 @@
-//! Deterministic batched query execution.
+//! Deterministic parallel execution of a batch of independent queries.
 //!
-//! Discovery workloads arrive in bursts (LakeBench-style benchmark sweeps,
-//! a coordinator fanning one client batch across shards), and per-request
-//! overhead — thread-local scratch warm-up, index-root cache misses,
-//! per-call bookkeeping — dominates when queries are issued one at a time.
-//! [`run_batch`] amortizes it: a batch of independent read-only queries is
-//! chunked across the machine's cores with `std::thread::scope`, each
-//! worker answering its contiguous slice sequentially.
+//! [`run_batch`] answers the sub-requests of one td-serve batch frame: a
+//! batch of independent read-only queries is chunked across the
+//! machine's cores with `std::thread::scope`, each worker answering its
+//! contiguous slice sequentially.
 //!
 //! Determinism contract: every query is answered by the *same* per-query
-//! code path the sequential API uses, against the same immutable index
+//! code path a single request uses, against the same immutable index
 //! state, and results are returned in input order — so a batched answer is
 //! byte-identical to the sequential one regardless of core count or
-//! scheduling. The equivalence tests in `crates/core/tests/batch.rs` pin
-//! this for all eight search families.
+//! scheduling. The serve batch suite (`crates/serve/tests/batch.rs`) pins
+//! this for every search family and shard-plane kind.
 
 /// Answer every query in `queries` with `f`, in parallel, returning
 /// results in input order.

@@ -326,81 +326,6 @@ impl SegmentedPipeline {
         self.snapshot().search_correlated(query_key, query_num, k)
     }
 
-    /// Batched [`DiscoveryPipeline::search_keyword_batch`] over one
-    /// snapshot: the segment stack is assembled (or fetched from cache)
-    /// once for the whole batch, not once per query.
-    #[must_use]
-    pub fn search_keyword_batch(&self, queries: &[(&str, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_keyword_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_joinable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_joinable_batch(
-        &self,
-        queries: &[(&Column, usize)],
-    ) -> Vec<Vec<(TableId, usize)>> {
-        self.snapshot().search_joinable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_unionable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_unionable_batch(&self, queries: &[(&Table, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_unionable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_unionable_semantic_batch`] over
-    /// one snapshot.
-    #[must_use]
-    pub fn search_unionable_semantic_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_unionable_semantic_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_unionable_relationship_batch`]
-    /// over one snapshot.
-    #[must_use]
-    pub fn search_unionable_relationship_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_unionable_relationship_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_fuzzy_joinable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_fuzzy_joinable_batch(
-        &self,
-        queries: &[(&Column, f32, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_fuzzy_joinable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_multi_joinable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_multi_joinable_batch(
-        &self,
-        queries: &[(&Table, &[usize], usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_multi_joinable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_correlated_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_correlated_batch(
-        &self,
-        queries: &[(&Column, &Column, usize)],
-    ) -> Vec<Vec<CorrelatedHit>> {
-        self.snapshot().search_correlated_batch(queries)
-    }
-
     fn invalidate(&mut self) {
         *self
             .snapshot

@@ -253,14 +253,6 @@ impl Bm25Index {
         self.search_with_stats(query, k, &self.term_stats(query))
     }
 
-    /// [`Self::search`] over a batch of `(query, k)` pairs, answered in
-    /// input order over one shared scoring scratch — byte-identical to
-    /// calling `search` once per query.
-    #[must_use]
-    pub fn search_batch(&self, queries: &[(&str, usize)]) -> Vec<Vec<(u32, f64)>> {
-        queries.iter().map(|&(q, k)| self.search(q, k)).collect()
-    }
-
     /// [`Self::search`], but scored with pinned corpus statistics
     /// instead of this index's own. With `stats == self.term_stats(query)`
     /// this is bit-identical to `search`; with merged multi-shard stats
@@ -395,30 +387,5 @@ mod tests {
         let once = i.search("apple", 2);
         let thrice = i.search("apple apple apple", 2);
         assert_eq!(once, thrice);
-    }
-
-    #[test]
-    fn batch_matches_sequential_exactly() {
-        let i = idx(&[
-            "city budget annual finance report",
-            "city population census data",
-            "wildlife sightings dataset",
-            "annual wildlife census",
-            "finance data city",
-        ]);
-        let queries: Vec<(&str, usize)> = vec![
-            ("city budget", 3),
-            ("census", 2),
-            ("wildlife data", 5),
-            ("city budget", 1),
-            ("", 4),
-        ];
-        let batch = i.search_batch(&queries);
-        for (qi, &(q, k)) in queries.iter().enumerate() {
-            let single = i.search(q, k);
-            assert_eq!(batch[qi], single, "query {qi} diverged");
-            // Debug-render equality pins byte-identical float formatting.
-            assert_eq!(format!("{:?}", batch[qi]), format!("{single:?}"));
-        }
     }
 }

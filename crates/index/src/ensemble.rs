@@ -234,20 +234,6 @@ impl LshEnsemble {
         (v, raw_candidates)
     }
 
-    /// Batched [`Self::query_containment`]: one call answers every
-    /// `(query, threshold)` pair, results in input order. Answers are
-    /// byte-identical to issuing the singles sequentially.
-    #[must_use]
-    pub fn query_containment_batch(
-        &self,
-        queries: &[(&MinHashSignature, f64)],
-    ) -> Vec<Vec<(u32, f64)>> {
-        queries
-            .iter()
-            .map(|&(sig, t)| self.query_containment(sig, t))
-            .collect()
-    }
-
     /// Top-k by estimated containment: runs a low-threshold containment
     /// query and truncates.
     #[must_use]
@@ -368,21 +354,5 @@ mod tests {
         let probe = sig(&h, 0..10);
         assert!(ens.query_containment(&probe, 0.0).is_empty());
         assert!(ens.top_k_containment(&probe, 5).is_empty());
-    }
-
-    #[test]
-    fn batch_matches_sequential_exactly() {
-        let h = MinHasher::new(256, 1);
-        let ens = LshEnsemble::build(corpus(&h), 8);
-        let qs = [sig(&h, 0..200), sig(&h, 40..140), sig(&h, 0..60)];
-        let reqs: Vec<(&MinHashSignature, f64)> = qs.iter().zip([0.8, 0.3, 0.05]).collect();
-        let batched = ens.query_containment_batch(&reqs);
-        for (i, &(q, t)) in reqs.iter().enumerate() {
-            assert_eq!(
-                format!("{:?}", batched[i]),
-                format!("{:?}", ens.query_containment(q, t)),
-                "query {i}"
-            );
-        }
     }
 }

@@ -3,8 +3,7 @@
 //!
 //! Vectors are packed end-to-end in one `Vec<f32>` arena (`dim` stride)
 //! instead of a `Vec<Vec<f32>>` of separate heap allocations, so a scan
-//! walks one contiguous buffer. [`FlatIndex::search_batch`] answers many
-//! queries in a single corpus pass, amortizing that scan across the batch.
+//! walks one contiguous buffer.
 
 use crate::topk::TopK;
 use serde::{Deserialize, Serialize};
@@ -73,49 +72,6 @@ impl FlatIndex {
             .collect()
     }
 
-    /// Batched [`Self::search`]: all queries are answered in a single pass
-    /// over the packed corpus (each vector is loaded once and scored
-    /// against every query while cache-hot), results in input order and
-    /// byte-identical to the sequential path.
-    #[must_use]
-    pub fn search_batch(&self, queries: &[(&[f32], usize)]) -> Vec<Vec<(u32, f32)>> {
-        for &(q, _) in queries {
-            assert_eq!(q.len(), self.dim, "dimension mismatch");
-        }
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let normed: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|&(q, _)| {
-                let mut v = q.to_vec();
-                normalize(&mut v);
-                v
-            })
-            .collect();
-        let mut tops: Vec<TopK<u32>> = queries.iter().map(|&(_, k)| TopK::new(k.max(1))).collect();
-        if !self.data.is_empty() {
-            for (i, v) in self.data.chunks_exact(self.dim).enumerate() {
-                for (q, top) in normed.iter().zip(tops.iter_mut()) {
-                    top.push(dot(v, q) as f64, i as u32);
-                }
-            }
-        }
-        tops.into_iter()
-            .zip(queries)
-            .map(|(top, &(_, k))| {
-                if self.data.is_empty() || k == 0 {
-                    Vec::new()
-                } else {
-                    top.into_sorted()
-                        .into_iter()
-                        .map(|(s, id)| (id, s as f32))
-                        .collect()
-                }
-            })
-            .collect()
-    }
-
     /// Access a stored (normalized) vector.
     #[must_use]
     pub fn vector(&self, id: u32) -> &[f32] {
@@ -173,37 +129,5 @@ mod tests {
         assert_eq!(f.vector(a), &[1.0, 0.0, 0.0, 0.0]);
         assert_eq!(f.vector(b), &[0.0, 0.0, 1.0, 0.0]);
         assert_eq!(f.len(), 2);
-    }
-
-    #[test]
-    fn batch_matches_sequential_exactly() {
-        let mut f = FlatIndex::new(3);
-        for i in 0..40u32 {
-            let x = (i % 7) as f32 + 0.25;
-            let y = (i % 5) as f32 - 1.5;
-            let z = (i % 3) as f32 * 0.5 + 0.1;
-            f.insert(vec![x, y, z]);
-        }
-        let queries: Vec<Vec<f32>> = vec![
-            vec![1.0, 0.0, 0.0],
-            vec![0.3, -0.7, 0.2],
-            vec![2.0, 2.0, 2.0],
-            vec![0.0, 1.0, 1.0],
-        ];
-        let reqs: Vec<(&[f32], usize)> = queries
-            .iter()
-            .zip([1usize, 4, 9, 0])
-            .map(|(q, k)| (q.as_slice(), k))
-            .collect();
-        let batched = f.search_batch(&reqs);
-        for (i, &(q, k)) in reqs.iter().enumerate() {
-            let single = f.search(q, k);
-            assert_eq!(
-                format!("{:?}", batched[i]),
-                format!("{single:?}"),
-                "query {i}"
-            );
-        }
-        assert!(f.search_batch(&[]).is_empty());
     }
 }

@@ -1,5 +1,4 @@
-//! Flat arena-backed symbol tables: the substrate of the batched probe
-//! paths.
+//! Flat arena-backed symbol tables: the substrate of the probe paths.
 //!
 //! Every index in this crate used to key its hot lookups through nested
 //! `std::collections::HashMap`s — token-hash → id, term → posting list,
@@ -348,9 +347,9 @@ impl PostingLists {
 
 /// Epoch-marked dense scratch for probe sweeps: per-item counters that
 /// reset in O(1) between queries instead of re-zeroing (or re-hashing)
-/// the whole array. One instance is reused across every query of a
-/// batch, which is where the batched entry points get their allocation
-/// amortization; correctness never depends on reuse, only speed.
+/// the whole array. One instance is reused across every query a thread
+/// answers, which amortizes its allocation; correctness never depends
+/// on reuse, only speed.
 #[derive(Debug, Default)]
 pub struct EpochCounters {
     epoch: u32,

@@ -10,8 +10,8 @@
 //! token ids) live in CSR [`PostingLists`] — one contiguous allocation
 //! each instead of a `Vec` of `Vec`s behind a `HashMap`. Query scratch
 //! (candidate counters, seen/settled marks) is dense and epoch-marked,
-//! reused across queries on the same thread, so a batched probe sweep
-//! allocates nothing per query.
+//! reused across queries on the same thread, so a probe sweep allocates
+//! nothing per query.
 //!
 //! Three search strategies expose the trade-off JOSIE's cost model
 //! navigates (ablated in experiment E03):
@@ -25,9 +25,6 @@
 //!   compare the estimated cost of continuing to read posting lists with
 //!   the cost of verifying the current candidates, and switch when
 //!   verification becomes cheaper.
-//!
-//! Each strategy also has a `*_batch` twin answering many queries in one
-//! call over the shared scratch — byte-identical to the sequential loop.
 
 use crate::intern::{EpochCounters, FlatMap64, PostingLists};
 use crate::topk::TopK;
@@ -463,47 +460,6 @@ impl InvertedSetIndex {
         }
         max as usize
     }
-
-    /// [`Self::top_k_merge`] over a batch of queries: one scratch, one
-    /// sweep per query, results in input order — byte-identical to the
-    /// sequential loop.
-    #[must_use]
-    pub fn top_k_merge_batch(
-        &self,
-        queries: &[&[&str]],
-        k: usize,
-    ) -> Vec<(Vec<(SetId, usize)>, SearchStats)> {
-        queries
-            .iter()
-            .map(|q| self.top_k_merge(q.iter().copied(), k))
-            .collect()
-    }
-
-    /// [`Self::top_k_probe`] over a batch of queries (input order).
-    #[must_use]
-    pub fn top_k_probe_batch(
-        &self,
-        queries: &[&[&str]],
-        k: usize,
-    ) -> Vec<(Vec<(SetId, usize)>, SearchStats)> {
-        queries
-            .iter()
-            .map(|q| self.top_k_probe(q.iter().copied(), k))
-            .collect()
-    }
-
-    /// [`Self::top_k_adaptive`] over a batch of queries (input order).
-    #[must_use]
-    pub fn top_k_adaptive_batch(
-        &self,
-        queries: &[&[&str]],
-        k: usize,
-    ) -> Vec<(Vec<(SetId, usize)>, SearchStats)> {
-        queries
-            .iter()
-            .map(|q| self.top_k_adaptive(q.iter().copied(), k))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -645,41 +601,6 @@ mod tests {
             assert_eq!(ov(&m), ov(&a), "query {qi}");
             // The query set itself must rank first with full overlap.
             assert_eq!(m[0].1, idx.set_size(qi as SetId));
-        }
-    }
-
-    #[test]
-    fn batched_strategies_match_sequential_exactly() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut b = InvertedSetIndexBuilder::new();
-        let mut raw_sets = Vec::new();
-        for _ in 0..80 {
-            let n = rng.gen_range(3..30);
-            let s: Vec<String> = (0..n)
-                .map(|_| format!("t{}", rng.gen_range(0..150)))
-                .collect();
-            raw_sets.push(s);
-        }
-        for s in &raw_sets {
-            b.add_set(s.iter().map(String::as_str));
-        }
-        let idx = b.build();
-        let qsets: Vec<Vec<&str>> = [3usize, 11, 42, 60, 77]
-            .iter()
-            .map(|&qi| raw_sets[qi].iter().map(String::as_str).collect())
-            .collect();
-        let queries: Vec<&[&str]> = qsets.iter().map(Vec::as_slice).collect();
-        for k in [1usize, 4, 9] {
-            let merge_b = idx.top_k_merge_batch(&queries, k);
-            let probe_b = idx.top_k_probe_batch(&queries, k);
-            let adapt_b = idx.top_k_adaptive_batch(&queries, k);
-            for (qi, q) in queries.iter().enumerate() {
-                assert_eq!(merge_b[qi], idx.top_k_merge(q.iter().copied(), k));
-                assert_eq!(probe_b[qi], idx.top_k_probe(q.iter().copied(), k));
-                assert_eq!(adapt_b[qi], idx.top_k_adaptive(q.iter().copied(), k));
-            }
         }
     }
 }

@@ -16,8 +16,7 @@
 //!
 //! All families share the flat arena substrate in [`intern`]: dense `u32`
 //! symbols from an [`Interner`], contiguous [`PostingLists`], and
-//! epoch-reset probe scratch — the cache-friendly layout that makes the
-//! `*_batch` entry points on each index worth batching for.
+//! epoch-reset probe scratch, reused across queries on a thread.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -55,6 +55,9 @@ use crate::protocol::{
     MAX_FRAME_BYTES,
 };
 
+/// Why the coordinator refuses a shard-plane request from a client.
+const NOT_PUBLIC: &str = "shard-plane requests are not part of the coordinator's public surface";
+
 fn relock<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
@@ -264,553 +267,189 @@ impl Coordinator {
             .collect()
     }
 
-    /// Plain top-k union over per-shard `Reply::Scores` answers.
-    fn fan_scores(&self, req: &Request, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Scores(s)) => s,
-                _ => Vec::new(),
-            })
-            .collect();
-        (Reply::Scores(merge::merge_scores(per_shard, k)), degraded)
-    }
-
-    /// Two-phase distributed keyword search.
-    fn keyword(&self, query: &str, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let stats_req = Request::KeywordStats {
-            query: query.to_string(),
-        };
-        let replies = self.scatter_all(&stats_req, deadline_ms);
-        let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let stats: Vec<Option<Bm25Stats>> = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::KeywordStats(s)) => Some(s),
-                _ => None,
-            })
-            .collect();
-        let live: Vec<Bm25Stats> = stats.iter().filter_map(Clone::clone).collect();
-        let Some(global) = merge::merge_keyword_stats(&live) else {
-            return (Reply::Scores(Vec::new()), degraded);
-        };
-        let asked: Vec<bool> = stats.iter().map(Option::is_some).collect();
-        let reqs: Vec<Option<Request>> = stats
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|_| Request::KeywordScored {
-                    query: query.to_string(),
-                    k,
-                    stats: global.clone(),
-                })
-            })
-            .collect();
-        let scored = self.scatter(reqs, deadline_ms);
-        degraded.extend(Self::missing(&asked, &scored));
-        degraded.sort_unstable();
-        degraded.dedup();
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = scored
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Scores(s)) => s,
-                _ => Vec::new(),
-            })
-            .collect();
-        (Reply::Scores(merge::merge_scores(per_shard, k)), degraded)
-    }
-
-    /// Two-phase distributed semantic (Starmie) search.
-    fn semantic(&self, table: &td_table::Table, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let cand_req = Request::SemanticCandidates {
-            table: table.clone(),
-        };
-        let replies = self.scatter_all(&cand_req, deadline_ms);
-        let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        // Per-shard candidate windows: one window (ranked `(column,
-        // similarity)` list) per query column, `None` for shards that
-        // did not answer.
-        type Windows = Vec<Vec<(td_table::ColumnRef, f32)>>;
-        let windows: Vec<Option<Windows>> = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::CandidateWindows(w)) => Some(w),
-                _ => None,
-            })
-            .collect();
-        let live: Vec<Windows> = windows.iter().filter_map(Clone::clone).collect();
-        let merged = merge::merge_candidate_windows(&live, self.cfg.fanout);
-        let tables: Vec<TableId> = merge::candidate_tables(&merged).into_iter().collect();
-        let asked: Vec<bool> = windows.iter().map(Option::is_some).collect();
-        let reqs: Vec<Option<Request>> = windows
-            .iter()
-            .map(|w| {
-                w.as_ref().map(|_| Request::SemanticScored {
-                    table: table.clone(),
-                    k,
-                    tables: tables.clone(),
-                })
-            })
-            .collect();
-        let scored = self.scatter(reqs, deadline_ms);
-        degraded.extend(Self::missing(&asked, &scored));
-        degraded.sort_unstable();
-        degraded.dedup();
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = scored
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Scores(s)) => s,
-                _ => Vec::new(),
-            })
-            .collect();
-        (Reply::Scores(merge::merge_scores(per_shard, k)), degraded)
-    }
-
-    /// Column-window merge for the exact-join family.
-    fn joinable(&self, column: &td_table::Column, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let width = td_core::join::exact::column_fetch_width(k);
-        let req = Request::JoinableColumns {
-            column: column.clone(),
-            width,
-        };
-        let replies = self.scatter_all(&req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::OverlapColumns(w)) => w,
-                _ => Vec::new(),
-            })
-            .collect();
-        let window = merge::merge_overlap_columns(per_shard, width);
-        (
-            Reply::Overlaps(td_core::join::exact::aggregate_tables(window, k)),
-            degraded,
-        )
-    }
-
-    /// Column-window merge for the fuzzy-join family.
-    fn fuzzy_joinable(
+    /// Scatter one network phase to the shards flagged in `asked`: one
+    /// sub-request per query, shipped bare when the phase carries a
+    /// single query (so a client single costs each shard exactly one
+    /// ordinary frame) and as one `Request::Batch` otherwise. Returns the
+    /// sub-replies regrouped by query (from the shards that answered in
+    /// shape, in shard order), which shards those were, and the asked
+    /// shards that did not answer at all.
+    fn scatter_phase(
         &self,
-        column: &td_table::Column,
-        tau: f32,
-        k: usize,
-        deadline_ms: u64,
-    ) -> (Reply, Vec<u32>) {
-        let width = td_core::join::exact::column_fetch_width(k);
-        let req = Request::FuzzyColumns {
-            column: column.clone(),
-            tau,
-            width,
+        asked: &[bool],
+        sub: Vec<Request>,
+        dl: u64,
+    ) -> (Vec<Vec<Reply>>, Vec<bool>, Vec<u32>) {
+        let n = sub.len();
+        let req = match <[Request; 1]>::try_from(sub) {
+            Ok([one]) => one,
+            Err(requests) => Request::Batch { requests },
         };
-        let replies = self.scatter_all(&req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::FuzzyColumns(w)) => w,
-                _ => Vec::new(),
-            })
-            .collect();
-        let window = merge::merge_fuzzy_columns(per_shard, width);
-        (
-            Reply::Scores(td_core::join::fuzzy::aggregate_tables(window, k)),
-            degraded,
-        )
-    }
-
-    /// Correlated-search union.
-    fn correlated(&self, req: &Request, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Correlated(h)) => h,
-                _ => Vec::new(),
-            })
-            .collect();
-        (
-            Reply::Correlated(merge::merge_correlated(per_shard, k)),
-            degraded,
-        )
-    }
-
-    /// Unpack one shard's `Reply::Batch` answer, requiring exactly `n`
-    /// sub-replies — anything else counts as a missing shard.
-    fn batch_replies(r: Option<Reply>, n: usize) -> Option<Vec<Reply>> {
-        match r {
-            Some(Reply::Batch(rs)) if rs.len() == n => Some(rs),
-            _ => None,
-        }
-    }
-
-    /// Per-shard `Scores` sub-replies at query index `qi`; missing
-    /// shards (or unexpected reply shapes) contribute an empty list,
-    /// exactly like the one-at-a-time gather.
-    fn scores_at(shards: &[Option<Vec<Reply>>], qi: usize) -> Vec<Vec<(TableId, f64)>> {
-        shards
-            .iter()
-            .map(|s| match s {
-                Some(rs) => match &rs[qi] {
-                    Reply::Scores(v) => v.clone(),
-                    _ => Vec::new(),
-                },
-                None => Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Per-request fallback for a batch the coalesced paths cannot
-    /// shape-match (unreachable after `validate_batch`, but a wrong
-    /// answer path must degrade to correctness, never panic).
-    fn batch_fallback(&self, requests: &[Request], dl: u64) -> (Reply, Vec<u32>) {
-        let mut degraded = Vec::new();
-        let mut out = Vec::with_capacity(requests.len());
-        for r in requests {
-            let (reply, d) = match r {
-                Request::Keyword { query, k } => self.keyword(query, *k, dl),
-                Request::Joinable { column, k } => self.joinable(column, *k, dl),
-                Request::FuzzyJoinable { column, tau, k } => {
-                    self.fuzzy_joinable(column, *tau, *k, dl)
-                }
-                Request::UnionableSemantic { table, k } => self.semantic(table, *k, dl),
-                Request::Unionable { k, .. }
-                | Request::UnionableRelationship { k, .. }
-                | Request::MultiJoinable { k, .. } => self.fan_scores(r, *k, dl),
-                Request::Correlated { k, .. } => self.correlated(r, *k, dl),
-                _ => (Reply::Scores(Vec::new()), Vec::new()),
+        let replies = self.scatter(asked.iter().map(|&a| a.then(|| req.clone())).collect(), dl);
+        let missing = Self::missing(asked, &replies);
+        let mut answered = vec![false; replies.len()];
+        let mut by_query: Vec<Vec<Reply>> = (0..n).map(|_| Vec::new()).collect();
+        for (shard, r) in replies.into_iter().enumerate() {
+            let rs = match r {
+                Some(Reply::Batch(rs)) if n > 1 && rs.len() == n => rs,
+                Some(r) if n == 1 => vec![r],
+                _ => continue,
             };
-            out.push(reply);
-            degraded.extend(d);
+            answered[shard] = true;
+            for (q, r) in by_query.iter_mut().zip(rs) {
+                q.push(r);
+            }
         }
-        degraded.sort_unstable();
-        degraded.dedup();
-        (Reply::Batch(out), degraded)
+        (by_query, answered, missing)
     }
 
-    /// Batched scatter-gather: the whole client batch ships to every
-    /// shard as ONE `Request::Batch` frame per network phase (so a
-    /// 16-query batch over K shards costs the same round-trips as a
-    /// single query), and each query's per-shard answers are folded
-    /// with exactly the merge algebra of the one-at-a-time paths.
-    fn batch(&self, requests: &[Request], dl: u64) -> (Reply, Vec<u32>) {
-        let n = requests.len();
-        match &requests[0] {
-            // Plain top-k unions: one fanout, per-query `merge_scores`.
-            Request::Unionable { .. }
-            | Request::UnionableRelationship { .. }
-            | Request::MultiJoinable { .. } => {
-                let req = Request::Batch {
-                    requests: requests.to_vec(),
-                };
-                let replies = self.scatter_all(&req, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, r)| {
-                        let k = match r {
-                            Request::Unionable { k, .. }
-                            | Request::UnionableRelationship { k, .. }
-                            | Request::MultiJoinable { k, .. } => *k,
-                            _ => 0,
-                        };
-                        Reply::Scores(merge::merge_scores(Self::scores_at(&shards, qi), k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            Request::Correlated { .. } => {
-                let req = Request::Batch {
-                    requests: requests.to_vec(),
-                };
-                let replies = self.scatter_all(&req, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, r)| {
-                        let k = match r {
-                            Request::Correlated { k, .. } => *k,
-                            _ => 0,
-                        };
-                        let per_shard = shards
-                            .iter()
-                            .map(|s| match s {
-                                Some(rs) => match &rs[qi] {
-                                    Reply::Correlated(h) => h.clone(),
-                                    _ => Vec::new(),
-                                },
-                                None => Vec::new(),
-                            })
-                            .collect();
-                        Reply::Correlated(merge::merge_correlated(per_shard, k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            // Column-window families: one fanout of per-query window
-            // requests, then the shared table aggregation per query.
-            Request::Joinable { .. } => {
-                let mut cols = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::Joinable { column, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    cols.push((column, *k));
-                }
-                let sub: Vec<Request> = cols
-                    .iter()
-                    .map(|(c, k)| Request::JoinableColumns {
-                        column: (*c).clone(),
-                        width: td_core::join::exact::column_fetch_width(*k),
-                    })
-                    .collect();
-                let replies = self.scatter_all(&Request::Batch { requests: sub }, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = cols
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, (_, k))| {
-                        let width = td_core::join::exact::column_fetch_width(*k);
-                        let per_shard = shards
-                            .iter()
-                            .map(|s| match s {
-                                Some(rs) => match &rs[qi] {
-                                    Reply::OverlapColumns(w) => w.clone(),
-                                    _ => Vec::new(),
-                                },
-                                None => Vec::new(),
-                            })
-                            .collect();
-                        let window = merge::merge_overlap_columns(per_shard, width);
-                        Reply::Overlaps(td_core::join::exact::aggregate_tables(window, *k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            Request::FuzzyJoinable { .. } => {
-                let mut cols = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::FuzzyJoinable { column, tau, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    cols.push((column, *tau, *k));
-                }
-                let sub: Vec<Request> = cols
-                    .iter()
-                    .map(|(c, tau, k)| Request::FuzzyColumns {
-                        column: (*c).clone(),
-                        tau: *tau,
-                        width: td_core::join::exact::column_fetch_width(*k),
-                    })
-                    .collect();
-                let replies = self.scatter_all(&Request::Batch { requests: sub }, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = cols
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, (_, _, k))| {
-                        let width = td_core::join::exact::column_fetch_width(*k);
-                        let per_shard = shards
-                            .iter()
-                            .map(|s| match s {
-                                Some(rs) => match &rs[qi] {
-                                    Reply::FuzzyColumns(w) => w.clone(),
-                                    _ => Vec::new(),
-                                },
-                                None => Vec::new(),
-                            })
-                            .collect();
-                        let window = merge::merge_fuzzy_columns(per_shard, width);
-                        Reply::Scores(td_core::join::fuzzy::aggregate_tables(window, *k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            // Two-phase keyword: one batched stats fanout, one batched
-            // scoring fanout pinned to the merged global statistics.
-            Request::Keyword { .. } => {
-                let mut queries = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::Keyword { query, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    queries.push((query.clone(), *k));
-                }
-                let stats_batch = Request::Batch {
-                    requests: queries
-                        .iter()
-                        .map(|(q, _)| Request::KeywordStats { query: q.clone() })
-                        .collect(),
-                };
-                let replies = self.scatter_all(&stats_batch, dl);
-                let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let asked: Vec<bool> = shards.iter().map(Option::is_some).collect();
-                let globals: Vec<Option<Bm25Stats>> = (0..n)
-                    .map(|qi| {
-                        let live: Vec<Bm25Stats> = shards
-                            .iter()
-                            .flatten()
-                            .filter_map(|rs| match &rs[qi] {
-                                Reply::KeywordStats(s) => Some(s.clone()),
-                                _ => None,
-                            })
-                            .collect();
-                        merge::merge_keyword_stats(&live)
-                    })
-                    .collect();
-                // Queries with no statistics anywhere answer empty, the
-                // same as the single-query path.
-                let scored: Vec<(usize, Request)> = globals
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(qi, g)| {
-                        g.as_ref().map(|g| {
-                            (
-                                qi,
-                                Request::KeywordScored {
-                                    query: queries[qi].0.clone(),
-                                    k: queries[qi].1,
-                                    stats: g.clone(),
-                                },
-                            )
-                        })
-                    })
-                    .collect();
-                let mut out: Vec<Reply> = (0..n).map(|_| Reply::Scores(Vec::new())).collect();
-                if !scored.is_empty() {
-                    let m = scored.len();
-                    let scored_batch = Request::Batch {
-                        requests: scored.iter().map(|(_, r)| r.clone()).collect(),
-                    };
-                    let reqs: Vec<Option<Request>> = asked
-                        .iter()
-                        .map(|&a| a.then(|| scored_batch.clone()))
-                        .collect();
-                    let scored_replies = self.scatter(reqs, dl);
-                    degraded.extend(Self::missing(&asked, &scored_replies));
-                    let sshards: Vec<Option<Vec<Reply>>> = scored_replies
+    /// Scatter-gather for a validated batch of public search queries; a
+    /// client single is a batch of one. Every query's per-shard answers
+    /// fold with the `td_shard::merge` algebra, so the replies are
+    /// byte-identical to one pipeline's. Phase one asks every shard for
+    /// each query's column window (joins), statistics (keyword),
+    /// candidate windows (semantic), or the query itself (the rest).
+    /// Keyword and semantic queries then take a second phase on the
+    /// shards that answered the first, with the merged statistics or
+    /// candidate table set pinned; a keyword query whose statistics do
+    /// not merge answers empty without one.
+    fn batch(&self, requests: &[Request], dl: u64) -> (Vec<Reply>, Vec<u32>) {
+        use td_core::join::{exact, fuzzy};
+        let first = requests
+            .iter()
+            .map(|r| match r {
+                Request::Keyword { query, .. } => Request::KeywordStats {
+                    query: query.clone(),
+                },
+                Request::UnionableSemantic { table, .. } => Request::SemanticCandidates {
+                    table: table.clone(),
+                },
+                Request::Joinable { column, k } => Request::JoinableColumns {
+                    column: column.clone(),
+                    width: exact::column_fetch_width(*k),
+                },
+                Request::FuzzyJoinable { column, tau, k } => Request::FuzzyColumns {
+                    column: column.clone(),
+                    tau: *tau,
+                    width: exact::column_fetch_width(*k),
+                },
+                other => other.clone(),
+            })
+            .collect();
+        let everyone = vec![true; self.slots.len()];
+        let (mut first, answered, mut degraded) = self.scatter_phase(&everyone, first, dl);
+
+        let mut pinned = Vec::new();
+        for (qi, r) in requests.iter().enumerate() {
+            let replies = std::mem::take(&mut first[qi]);
+            let sub = match r {
+                Request::Keyword { query, k } => {
+                    let live: Vec<Bm25Stats> = replies
                         .into_iter()
-                        .map(|r| Self::batch_replies(r, m))
+                        .filter_map(|r| match r {
+                            Reply::KeywordStats(s) => Some(s),
+                            _ => None,
+                        })
                         .collect();
-                    let _span = td_obs::trace::probe("coord.gather");
-                    for (ri, (qi, _)) in scored.iter().enumerate() {
-                        let per_shard = Self::scores_at(&sshards, ri);
-                        out[*qi] = Reply::Scores(merge::merge_scores(per_shard, queries[*qi].1));
+                    let Some(stats) = merge::merge_keyword_stats(&live) else {
+                        continue;
+                    };
+                    Request::KeywordScored {
+                        query: query.clone(),
+                        k: *k,
+                        stats,
                     }
                 }
-                degraded.sort_unstable();
-                degraded.dedup();
-                (Reply::Batch(out), degraded)
-            }
-            // Two-phase semantic: one batched candidate fanout, one
-            // batched scoring fanout pinned to each query's merged
-            // candidate table set.
-            Request::UnionableSemantic { .. } => {
-                let mut queries = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::UnionableSemantic { table, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    queries.push((table, *k));
-                }
-                let cand_batch = Request::Batch {
-                    requests: queries
-                        .iter()
-                        .map(|(t, _)| Request::SemanticCandidates {
-                            table: (*t).clone(),
+                Request::UnionableSemantic { table, k } => {
+                    let live: Vec<_> = replies
+                        .into_iter()
+                        .filter_map(|r| match r {
+                            Reply::CandidateWindows(w) => Some(w),
+                            _ => None,
                         })
-                        .collect(),
-                };
-                let replies = self.scatter_all(&cand_batch, dl);
-                let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let asked: Vec<bool> = shards.iter().map(Option::is_some).collect();
-                type Windows = Vec<Vec<(td_table::ColumnRef, f32)>>;
-                let tables_per_q: Vec<Vec<TableId>> = (0..n)
-                    .map(|qi| {
-                        let live: Vec<Windows> = shards
-                            .iter()
-                            .flatten()
-                            .filter_map(|rs| match &rs[qi] {
-                                Reply::CandidateWindows(w) => Some(w.clone()),
+                        .collect();
+                    let merged = merge::merge_candidate_windows(&live, self.cfg.fanout);
+                    Request::SemanticScored {
+                        table: table.clone(),
+                        k: *k,
+                        tables: merge::candidate_tables(&merged).into_iter().collect(),
+                    }
+                }
+                // One-phase families keep their replies for the gather.
+                _ => {
+                    first[qi] = replies;
+                    continue;
+                }
+            };
+            pinned.push((qi, sub));
+        }
+        if !pinned.is_empty() {
+            let (qis, sub): (Vec<usize>, Vec<Request>) = pinned.into_iter().unzip();
+            let (second, _, missing) = self.scatter_phase(&answered, sub, dl);
+            for (qi, replies) in qis.into_iter().zip(second) {
+                first[qi] = replies;
+            }
+            degraded.extend(missing);
+            degraded.sort_unstable();
+            degraded.dedup();
+        }
+
+        let _span = td_obs::trace::probe("coord.gather");
+        let out = requests
+            .iter()
+            .zip(first)
+            .map(|(r, replies)| {
+                let per_shard = replies.into_iter();
+                match r {
+                    Request::Joinable { k, .. } => {
+                        let windows = per_shard
+                            .filter_map(|r| match r {
+                                Reply::OverlapColumns(w) => Some(w),
                                 _ => None,
                             })
                             .collect();
-                        let merged = merge::merge_candidate_windows(&live, self.cfg.fanout);
-                        merge::candidate_tables(&merged).into_iter().collect()
-                    })
-                    .collect();
-                let scored_batch = Request::Batch {
-                    requests: (0..n)
-                        .map(|qi| Request::SemanticScored {
-                            table: queries[qi].0.clone(),
-                            k: queries[qi].1,
-                            tables: tables_per_q[qi].clone(),
-                        })
-                        .collect(),
-                };
-                let reqs: Vec<Option<Request>> = asked
-                    .iter()
-                    .map(|&a| a.then(|| scored_batch.clone()))
-                    .collect();
-                let scored = self.scatter(reqs, dl);
-                degraded.extend(Self::missing(&asked, &scored));
-                let sshards: Vec<Option<Vec<Reply>>> = scored
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = (0..n)
-                    .map(|qi| {
-                        Reply::Scores(merge::merge_scores(
-                            Self::scores_at(&sshards, qi),
-                            queries[qi].1,
-                        ))
-                    })
-                    .collect();
-                degraded.sort_unstable();
-                degraded.dedup();
-                (Reply::Batch(out), degraded)
-            }
-            _ => self.batch_fallback(requests, dl),
-        }
+                        let width = exact::column_fetch_width(*k);
+                        let window = merge::merge_overlap_columns(windows, width);
+                        Reply::Overlaps(exact::aggregate_tables(window, *k))
+                    }
+                    Request::FuzzyJoinable { k, .. } => {
+                        let windows = per_shard
+                            .filter_map(|r| match r {
+                                Reply::FuzzyColumns(w) => Some(w),
+                                _ => None,
+                            })
+                            .collect();
+                        let width = exact::column_fetch_width(*k);
+                        let window = merge::merge_fuzzy_columns(windows, width);
+                        Reply::Scores(fuzzy::aggregate_tables(window, *k))
+                    }
+                    Request::Correlated { k, .. } => {
+                        let hits = per_shard
+                            .filter_map(|r| match r {
+                                Reply::Correlated(h) => Some(h),
+                                _ => None,
+                            })
+                            .collect();
+                        Reply::Correlated(merge::merge_correlated(hits, *k))
+                    }
+                    Request::Keyword { k, .. }
+                    | Request::UnionableSemantic { k, .. }
+                    | Request::Unionable { k, .. }
+                    | Request::UnionableRelationship { k, .. }
+                    | Request::MultiJoinable { k, .. } => {
+                        let scores = per_shard
+                            .filter_map(|r| match r {
+                                Reply::Scores(s) => Some(s),
+                                _ => None,
+                            })
+                            .collect();
+                        Reply::Scores(merge::merge_scores(scores, *k))
+                    }
+                    _ => Reply::Scores(Vec::new()),
+                }
+            })
+            .collect();
+        (out, degraded)
     }
 
     /// Rolling reload: shards are reloaded one at a time, in shard
@@ -967,32 +606,6 @@ impl Coordinator {
         let dl = env.deadline_ms;
         let (reply, degraded) = match &env.req {
             Request::Ping => (Some(Reply::Pong), Vec::new()),
-            Request::Keyword { query, k } => {
-                let (r, d) = self.keyword(query, *k, dl);
-                (Some(r), d)
-            }
-            Request::Joinable { column, k } => {
-                let (r, d) = self.joinable(column, *k, dl);
-                (Some(r), d)
-            }
-            Request::FuzzyJoinable { column, tau, k } => {
-                let (r, d) = self.fuzzy_joinable(column, *tau, *k, dl);
-                (Some(r), d)
-            }
-            Request::UnionableSemantic { table, k } => {
-                let (r, d) = self.semantic(table, *k, dl);
-                (Some(r), d)
-            }
-            Request::Unionable { k, .. }
-            | Request::UnionableRelationship { k, .. }
-            | Request::MultiJoinable { k, .. } => {
-                let (r, d) = self.fan_scores(&env.req, *k, dl);
-                (Some(r), d)
-            }
-            Request::Correlated { k, .. } => {
-                let (r, d) = self.correlated(&env.req, *k, dl);
-                (Some(r), d)
-            }
             Request::IngestTable { id: tid, .. } => {
                 return self.route_mutation(*tid, id, env.req.clone(), dl);
             }
@@ -1024,37 +637,20 @@ impl Coordinator {
                 // `validate_batch` admits shard-plane kinds (they are the
                 // coordinator's *outbound* vocabulary), but clients may
                 // only batch the public search families.
-                if requests[0].endpoint().starts_with("shard.")
-                    || matches!(
-                        requests[0],
-                        Request::KeywordStats { .. }
-                            | Request::KeywordScored { .. }
-                            | Request::JoinableColumns { .. }
-                            | Request::FuzzyColumns { .. }
-                            | Request::SemanticCandidates { .. }
-                            | Request::SemanticScored { .. }
-                    )
-                {
-                    return ResponseEnvelope::fail(
-                        id,
-                        Status::BadRequest,
-                        "shard-plane requests are not part of the coordinator's public surface",
-                    );
+                if requests[0].is_shard_plane() {
+                    return ResponseEnvelope::fail(id, Status::BadRequest, NOT_PUBLIC);
                 }
                 let (r, d) = self.batch(requests, dl);
-                (Some(r), d)
+                (Some(Reply::Batch(r)), d)
             }
-            Request::KeywordStats { .. }
-            | Request::KeywordScored { .. }
-            | Request::JoinableColumns { .. }
-            | Request::FuzzyColumns { .. }
-            | Request::SemanticCandidates { .. }
-            | Request::SemanticScored { .. } => {
-                return ResponseEnvelope::fail(
-                    id,
-                    Status::BadRequest,
-                    "shard-plane requests are not part of the coordinator's public surface",
-                );
+            shard_plane if shard_plane.is_shard_plane() => {
+                return ResponseEnvelope::fail(id, Status::BadRequest, NOT_PUBLIC);
+            }
+            // The eight search families (every other kind is matched
+            // above): a single is a batch of one.
+            search => {
+                let (mut r, d) = self.batch(std::slice::from_ref(search), dl);
+                (r.pop(), d)
             }
         };
         if !degraded.is_empty() {

@@ -207,8 +207,8 @@ pub enum Request {
         tables: Vec<TableId>,
     },
     /// A batch of same-family queries answered as one unit: admitted as
-    /// one queue entry, executed through the pipeline's `search_*_batch`
-    /// entry point, answered with [`Reply::Batch`] carrying one
+    /// one queue entry, each sub-request executed exactly as if it were
+    /// sent alone, answered with [`Reply::Batch`] carrying one
     /// sub-reply per sub-request in input order. Each sub-reply is
     /// byte-identical to what the same request sent alone would return.
     /// Constraints ([`Request::validate_batch`]): 1..=[`MAX_BATCH`]
@@ -276,7 +276,17 @@ impl Request {
                 | Request::FuzzyJoinable { .. }
                 | Request::MultiJoinable { .. }
                 | Request::Correlated { .. }
-                | Request::KeywordStats { .. }
+        ) || self.is_shard_plane()
+    }
+
+    /// True for the shard plane: the per-shard halves of a
+    /// coordinator's scatter-gather ([`Request::shard_endpoints`]). A
+    /// coordinator sends these but refuses them from clients.
+    #[must_use]
+    pub fn is_shard_plane(&self) -> bool {
+        matches!(
+            self,
+            Request::KeywordStats { .. }
                 | Request::KeywordScored { .. }
                 | Request::JoinableColumns { .. }
                 | Request::FuzzyColumns { .. }
@@ -1146,5 +1156,64 @@ mod tests {
             requests: Vec::new()
         }
         .is_batchable());
+    }
+    #[test]
+    fn shard_plane_is_exactly_the_shard_endpoints() {
+        let col = Column::from_strings("c", &["a"]);
+        let table = Table::new("t", vec![col.clone()]).expect("one column is never ragged");
+        let all = [
+            Request::Ping,
+            Request::Keyword {
+                query: "a".into(),
+                k: 1,
+            },
+            Request::Joinable {
+                column: col.clone(),
+                k: 1,
+            },
+            Request::Reload,
+            Request::Health,
+            Request::KeywordStats { query: "a".into() },
+            Request::KeywordScored {
+                query: "a".into(),
+                k: 1,
+                stats: Bm25Stats {
+                    num_docs: 1,
+                    total_len: 1,
+                    df: vec![1],
+                },
+            },
+            Request::JoinableColumns {
+                column: col.clone(),
+                width: 4,
+            },
+            Request::FuzzyColumns {
+                column: col,
+                tau: 0.5,
+                width: 4,
+            },
+            Request::SemanticCandidates {
+                table: table.clone(),
+            },
+            Request::SemanticScored {
+                table,
+                k: 1,
+                tables: Vec::new(),
+            },
+            Request::Batch {
+                requests: vec![Request::KeywordStats { query: "a".into() }],
+            },
+        ];
+        let plane: Vec<&str> = all
+            .iter()
+            .filter(|r| r.is_shard_plane())
+            .map(Request::endpoint)
+            .collect();
+        assert_eq!(plane, Request::shard_endpoints());
+        // Every shard-plane kind stays batchable.
+        assert!(all
+            .iter()
+            .filter(|r| r.is_shard_plane())
+            .all(Request::is_batchable));
     }
 }

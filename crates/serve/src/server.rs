@@ -281,241 +281,19 @@ pub fn execute(pipeline: &DiscoveryPipeline, req: &Request) -> Reply {
         Request::SemanticScored { table, k, tables } => Reply::Scores(
             pipeline.search_semantic_with_candidates(table, *k, &tables.iter().copied().collect()),
         ),
-        // A batch frame: one sub-reply per sub-request through the
-        // pipeline's batched entry points. The server validates shape at
-        // admission; a direct caller handing an invalid batch here still
-        // gets a well-formed (per-request) answer via the fallback.
+        // A batch frame: one sub-reply per sub-request, each answered as
+        // a single. The server validates shape at admission.
         Request::Batch { requests } => Reply::Batch(execute_batch(pipeline, requests)),
     }
 }
 
-/// Execute a homogeneous batch of requests through the pipeline's
-/// `search_*_batch` entry points: one reply per request, in input order,
-/// each byte-identical to [`execute`] on the same request alone. A batch
-/// that is not homogeneous (which [`Request::validate_batch`] would have
-/// rejected at admission) falls back to per-request execution, so this
-/// function never panics on shape.
+/// Execute a batch frame's sub-requests: one reply per request, in input
+/// order, each produced by [`execute`] on that request alone (so it is
+/// byte-identical to the single answer). Sub-requests are spread across
+/// cores by [`td_core::run_batch`].
 #[must_use]
 pub fn execute_batch(pipeline: &DiscoveryPipeline, reqs: &[Request]) -> Vec<Reply> {
-    fn fallback(pipeline: &DiscoveryPipeline, reqs: &[Request]) -> Vec<Reply> {
-        reqs.iter().map(|r| execute(pipeline, r)).collect()
-    }
-    let Some(first) = reqs.first() else {
-        return Vec::new();
-    };
-    match first {
-        Request::Keyword { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Keyword { query, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((query.as_str(), *k));
-            }
-            pipeline
-                .search_keyword_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::Joinable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Joinable { column, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *k));
-            }
-            pipeline
-                .search_joinable_batch(&qs)
-                .into_iter()
-                .map(Reply::Overlaps)
-                .collect()
-        }
-        Request::Unionable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Unionable { table, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k));
-            }
-            pipeline
-                .search_unionable_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::UnionableSemantic { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::UnionableSemantic { table, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k));
-            }
-            pipeline
-                .search_unionable_semantic_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::UnionableRelationship { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::UnionableRelationship { table, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k));
-            }
-            pipeline
-                .search_unionable_relationship_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::FuzzyJoinable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::FuzzyJoinable { column, tau, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *tau, *k));
-            }
-            pipeline
-                .search_fuzzy_joinable_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::MultiJoinable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::MultiJoinable { table, key_cols, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, key_cols.as_slice(), *k));
-            }
-            pipeline
-                .search_multi_joinable_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::Correlated { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Correlated { key, numeric, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((key, numeric, *k));
-            }
-            pipeline
-                .search_correlated_batch(&qs)
-                .into_iter()
-                .map(Reply::Correlated)
-                .collect()
-        }
-        Request::KeywordStats { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::KeywordStats { query } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push(query.as_str());
-            }
-            pipeline
-                .keyword_term_stats_batch(&qs)
-                .into_iter()
-                .map(Reply::KeywordStats)
-                .collect()
-        }
-        Request::KeywordScored { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::KeywordScored { query, k, stats } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((query.as_str(), *k, stats));
-            }
-            pipeline
-                .search_keyword_with_stats_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::JoinableColumns { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::JoinableColumns { column, width } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *width));
-            }
-            pipeline
-                .search_joinable_columns_batch(&qs)
-                .into_iter()
-                .map(Reply::OverlapColumns)
-                .collect()
-        }
-        Request::FuzzyColumns { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::FuzzyColumns { column, tau, width } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *tau, *width));
-            }
-            pipeline
-                .search_fuzzy_columns_batch(&qs)
-                .into_iter()
-                .map(Reply::FuzzyColumns)
-                .collect()
-        }
-        Request::SemanticCandidates { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::SemanticCandidates { table } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push(table);
-            }
-            pipeline
-                .semantic_candidates_batch(&qs)
-                .into_iter()
-                .map(Reply::CandidateWindows)
-                .collect()
-        }
-        Request::SemanticScored { .. } => {
-            // The pinned candidate sets need owned storage; collect them
-            // first, then borrow per query.
-            let mut sets = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::SemanticScored { tables, .. } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                sets.push(
-                    tables
-                        .iter()
-                        .copied()
-                        .collect::<std::collections::BTreeSet<_>>(),
-                );
-            }
-            let mut qs = Vec::with_capacity(reqs.len());
-            for (r, set) in reqs.iter().zip(&sets) {
-                let Request::SemanticScored { table, k, .. } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k, set));
-            }
-            pipeline
-                .search_semantic_with_candidates_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        _ => fallback(pipeline, reqs),
-    }
+    td_core::run_batch(reqs, |r| execute(pipeline, r))
 }
 
 /// Assemble the [`Request::Stats`] answer from the server's own counters
@@ -1149,135 +927,57 @@ fn handle_frame(payload: &[u8], shared: &Arc<Shared>, out: &Arc<Mutex<TcpStream>
     }
 }
 
-/// Most queued compatible singles a worker may fold into one batched
-/// execution (counting the request it popped). Matches the sweet spot of
-/// the batched probe paths without starving other workers of queue work.
-const MAX_COALESCE: usize = 16;
-
-/// Answer a job whose deadline passed while it sat in the queue.
-fn expire_job(shared: &Arc<Shared>, worker_idx: u64, job: &Job) {
-    shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.deadline_expired.inc();
-    if let (Some(layer), Some(tr)) = (shared.trace.as_ref(), job.trace.as_ref()) {
-        tr.set_status("deadline_exceeded");
-        layer.finish(worker_idx, tr, job.admitted.elapsed_ns());
-    }
-    respond(
-        &job.out,
-        &ResponseEnvelope::fail(
-            job.id,
-            Status::DeadlineExceeded,
-            "deadline passed while queued",
-        ),
-    );
-}
-
-/// Record, trace-finish, cache, and write one job's reply.
-fn deliver(shared: &Arc<Shared>, worker_idx: u64, job: Job, reply: Arc<Reply>, elapsed: Duration) {
-    shared.metrics.record_latency(job.endpoint, elapsed);
-    if let (Some(layer), Some(tr)) = (shared.trace.as_ref(), job.trace.as_ref()) {
-        layer.finish(worker_idx, tr, job.admitted.elapsed_ns());
-    }
-    let resp = ResponseEnvelope::ok(job.id, (*reply).clone());
-    if let Ok(payload) = encode_response(&resp) {
-        // Charge the cache what the reply costs on the wire.
-        shared.cache.put(job.key, reply, payload.len());
-        shared.served_ok.fetch_add(1, Ordering::Relaxed);
-        let ok = {
-            let mut stream = relock(job.out.lock());
-            // td-lint: allow(TD008) frame serialization: the out-mutex is held across the write so concurrent workers cannot interleave frames
-            let wrote = write_frame(&mut *stream, &payload).is_ok();
-            wrote && stream.flush().is_ok() // td-lint: allow(TD008) same frame-serialization section as the write above
-        };
-        if !ok {
-            td_obs::global().counter("serve.io.write_errors").add(1);
-        }
-    }
-}
-
 fn worker_loop(shared: &Arc<Shared>, worker_idx: u64) {
     while let Some(mut job) = shared.queue.pop() {
         shared.metrics.queue_depth.dec_floored();
         // The request is out of the queue: close its queue-wait span.
         drop(job.queue_span.take());
         if job.deadline_ms > 0 && job.admitted.elapsed_ms() > job.deadline_ms as f64 {
-            expire_job(shared, worker_idx, &job);
-            continue;
-        }
-        // Opportunistic coalescing: a worker that pops a batchable single
-        // sweeps queued compatible singles (same family, same pipeline)
-        // and answers them all through one batched execution. The batched
-        // entry points produce byte-identical replies, so a coalesced
-        // client sees nothing but lower latency under load.
-        let extras = if job.req.is_batchable() {
-            shared.queue.drain_matching(MAX_COALESCE - 1, |j| {
-                j.endpoint == job.endpoint
-                    && j.req.is_batchable()
-                    && Arc::ptr_eq(&j.pipeline, &job.pipeline)
-            })
-        } else {
-            Vec::new()
-        };
-        if extras.is_empty() {
-            shared.metrics.inflight.inc();
-            let t = Timer::start();
-            let reply = {
-                // Attach the trace to this worker thread for the duration
-                // of the query: the pipeline's probe/rank instrumentation
-                // finds it through the thread-local and nests under
-                // `execute`.
-                let _attached = job.trace.as_ref().map(td_obs::trace::attach);
-                let _exec = job.trace.as_ref().map(|tr| tr.open("execute"));
-                Arc::new(execute(&job.pipeline, &job.req))
-            };
-            shared.metrics.inflight.dec_floored();
-            deliver(shared, worker_idx, job, reply, t.elapsed());
-            continue;
-        }
-        let mut batch = Vec::with_capacity(1 + extras.len());
-        // td-lint: allow(TD010) batch is a per-pop local holding at most MAX_COALESCE jobs
-        batch.push(job);
-        for mut extra in extras {
-            shared.metrics.queue_depth.dec_floored();
-            drop(extra.queue_span.take());
-            if extra.deadline_ms > 0 && extra.admitted.elapsed_ms() > extra.deadline_ms as f64 {
-                expire_job(shared, worker_idx, &extra);
-            } else {
-                // td-lint: allow(TD010) drain_matching already capped extras at MAX_COALESCE - 1
-                batch.push(extra);
+            shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.deadline_expired.inc();
+            if let (Some(layer), Some(tr)) = (shared.trace.as_ref(), job.trace.as_ref()) {
+                tr.set_status("deadline_exceeded");
+                layer.finish(worker_idx, tr, job.admitted.elapsed_ns());
             }
+            respond(
+                &job.out,
+                &ResponseEnvelope::fail(
+                    job.id,
+                    Status::DeadlineExceeded,
+                    "deadline passed while queued",
+                ),
+            );
+            continue;
         }
-        td_obs::global()
-            .counter("serve.batch.coalesced")
-            .add((batch.len() - 1) as u64);
         shared.metrics.inflight.inc();
         let t = Timer::start();
-        let reqs: Vec<Request> = batch.iter().map(|j| j.req.clone()).collect();
-        let replies = {
-            // Only the primary job's trace attaches for the shared
-            // execution — a thread carries at most one trace, so the
-            // per-component probe spans nest under the primary. The
-            // coalesced extras still record their own `execute` window
-            // plus a `probe.batched` marker so their trees stay
-            // well-formed, and every job gets its own finish below.
-            let _attached = batch[0].trace.as_ref().map(td_obs::trace::attach);
-            let _execs: Vec<_> = batch
-                .iter()
-                .filter_map(|j| j.trace.as_ref())
-                .map(|tr| tr.open("execute"))
-                .collect();
-            let _probes: Vec<_> = batch
-                .iter()
-                .skip(1)
-                .filter_map(|j| j.trace.as_ref())
-                .map(|tr| tr.open("probe.batched"))
-                .collect();
-            execute_batch(&batch[0].pipeline, &reqs)
+        let reply = {
+            // Attach the trace to this worker thread for the duration of
+            // the query: the pipeline's probe/rank instrumentation finds
+            // it through the thread-local and nests under `execute`.
+            let _attached = job.trace.as_ref().map(td_obs::trace::attach);
+            let _exec = job.trace.as_ref().map(|tr| tr.open("execute"));
+            Arc::new(execute(&job.pipeline, &job.req))
         };
+        shared.metrics.record_latency(job.endpoint, t.elapsed());
         shared.metrics.inflight.dec_floored();
-        let elapsed = t.elapsed();
-        for (j, reply) in batch.into_iter().zip(replies) {
-            deliver(shared, worker_idx, j, Arc::new(reply), elapsed);
+        if let (Some(layer), Some(tr)) = (shared.trace.as_ref(), job.trace.as_ref()) {
+            layer.finish(worker_idx, tr, job.admitted.elapsed_ns());
+        }
+        let resp = ResponseEnvelope::ok(job.id, (*reply).clone());
+        if let Ok(payload) = encode_response(&resp) {
+            // Charge the cache what the reply costs on the wire.
+            shared.cache.put(job.key, reply, payload.len());
+            shared.served_ok.fetch_add(1, Ordering::Relaxed);
+            let ok = {
+                let mut stream = relock(job.out.lock());
+                // td-lint: allow(TD008) frame serialization: the out-mutex is held across the write so concurrent workers cannot interleave frames
+                let wrote = write_frame(&mut *stream, &payload).is_ok();
+                wrote && stream.flush().is_ok() // td-lint: allow(TD008) same frame-serialization section as the write above
+            };
+            if !ok {
+                td_obs::global().counter("serve.io.write_errors").add(1);
+            }
         }
     }
 }

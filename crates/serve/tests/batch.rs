@@ -3,9 +3,8 @@
 //! * a `Request::Batch` frame answers with one sub-reply per sub-request,
 //!   each **byte-identical** to the single-request response — against a
 //!   single server and against the K-shard coordinator;
-//! * opportunistic coalescing (a worker folding queued compatible
-//!   singles into one batched execution) is invisible to clients except
-//!   as latency;
+//! * concurrent singles queued behind one worker each get their own
+//!   byte-identical reply;
 //! * malformed batch frames — empty, oversized, mixed-family, nested,
 //!   admin/control requests inside — fail with a clean `BadRequest` and
 //!   never panic or hang the server. The committed corpus under
@@ -110,7 +109,41 @@ fn probes(fx: &Fixture) -> Vec<Request> {
     out
 }
 
-/// The same request with a different k — batches mix result sizes.
+/// One probe per shard-plane kind (all six), the per-shard halves a
+/// coordinator sends. Built from the same query table and pinned to the
+/// oracle's own statistics and the whole lake as the candidate set.
+fn shard_plane_probes(fx: &Fixture) -> Vec<Request> {
+    let qt = &fx.tables[0].1;
+    let col = qt.columns[0].clone();
+    vec![
+        Request::KeywordStats {
+            query: "dataset".into(),
+        },
+        Request::KeywordScored {
+            query: "dataset".into(),
+            k: K,
+            stats: fx.batch.keyword_term_stats("dataset"),
+        },
+        Request::JoinableColumns {
+            column: col.clone(),
+            width: K,
+        },
+        Request::FuzzyColumns {
+            column: col,
+            tau: 0.8,
+            width: K,
+        },
+        Request::SemanticCandidates { table: qt.clone() },
+        Request::SemanticScored {
+            table: qt.clone(),
+            k: K,
+            tables: fx.tables.iter().map(|(id, _)| *id).collect(),
+        },
+    ]
+}
+
+/// The same request with a different k (or column-window width) —
+/// batches mix result sizes.
 fn with_k(req: &Request, k: usize) -> Request {
     let mut r = req.clone();
     match &mut r {
@@ -121,15 +154,20 @@ fn with_k(req: &Request, k: usize) -> Request {
         | Request::UnionableRelationship { k: kk, .. }
         | Request::FuzzyJoinable { k: kk, .. }
         | Request::MultiJoinable { k: kk, .. }
-        | Request::Correlated { k: kk, .. } => *kk = k,
+        | Request::Correlated { k: kk, .. }
+        | Request::KeywordScored { k: kk, .. }
+        | Request::SemanticScored { k: kk, .. }
+        | Request::JoinableColumns { width: kk, .. }
+        | Request::FuzzyColumns { width: kk, .. } => *kk = k,
         _ => {}
     }
     r
 }
 
 /// A batch frame against a single server answers each sub-request
-/// byte-for-byte like the one-at-a-time path — for every family, with
-/// mixed k values, and again from the result cache.
+/// byte-for-byte like the same request sent alone — for every search
+/// family and every shard-plane kind, with mixed k values, and again
+/// from the result cache.
 #[test]
 fn batch_frames_are_byte_identical_to_singles() {
     let fx = fixture();
@@ -143,10 +181,11 @@ fn batch_frames_are_byte_identical_to_singles() {
     .expect("server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
+    let all = [probes(fx), shard_plane_probes(fx)].concat();
     for round in 0..2 {
         // Round 1 misses the cache, round 2 hits it: both byte-identical.
-        for (i, probe) in probes(fx).into_iter().enumerate() {
-            let requests: Vec<Request> = [1, K, 17].iter().map(|&k| with_k(&probe, k)).collect();
+        for (i, probe) in all.iter().enumerate() {
+            let requests: Vec<Request> = [1, K, 17].iter().map(|&k| with_k(probe, k)).collect();
             let id = 500 + round * 100 + i as u64;
             let raw = client
                 .call_raw(&env(
@@ -157,14 +196,27 @@ fn batch_frames_are_byte_identical_to_singles() {
                 ))
                 .expect("call");
             let subs: Vec<Reply> = requests.iter().map(|r| execute(&fx.batch, r)).collect();
-            let expected =
-                encode_response(&ResponseEnvelope::ok(id, Reply::Batch(subs))).expect("encode");
+            let expected = encode_response(&ResponseEnvelope::ok(id, Reply::Batch(subs.clone())))
+                .expect("encode");
             assert_eq!(
                 raw,
                 expected,
                 "round {round} batch diverged on {}",
                 probe.endpoint()
             );
+            // Each sub-reply is also what the request answers alone.
+            for (j, (req, sub)) in requests.into_iter().zip(subs).enumerate() {
+                let single_id = id * 10 + j as u64;
+                let single = client.call_raw(&env(single_id, req)).expect("call");
+                let expected =
+                    encode_response(&ResponseEnvelope::ok(single_id, sub)).expect("encode");
+                assert_eq!(
+                    single,
+                    expected,
+                    "round {round} single diverged on {}",
+                    probe.endpoint()
+                );
+            }
         }
     }
     server.shutdown();
@@ -287,11 +339,11 @@ fn seed_corpus_replays_to_clean_errors() {
     server.shutdown();
 }
 
-/// Hammer a single-worker server from concurrent clients so the queue
-/// backs up and the worker's opportunistic coalescing actually fires:
-/// every reply must still be byte-identical to the direct oracle.
+/// Hammer a single-worker server from concurrent clients so singles
+/// queue up behind the one worker: each is still executed on its own,
+/// and every reply must be byte-identical to the direct oracle.
 #[test]
-fn coalesced_singles_stay_byte_identical() {
+fn concurrent_singles_on_one_worker_stay_byte_identical() {
     let fx = fixture();
     let mut server = Server::start(
         Arc::clone(&fx.batch),
@@ -332,7 +384,7 @@ fn coalesced_singles_stay_byte_identical() {
             assert_eq!(
                 raw,
                 expected,
-                "coalesced single diverged on {}",
+                "queued single diverged on {}",
                 req.endpoint()
             );
         }

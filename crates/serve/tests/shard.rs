@@ -6,6 +6,7 @@
 //! field) without hanging, and a rejoined shard restores byte-identical
 //! answers.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -14,7 +15,7 @@ use td_core::segment::PipelineContext;
 use td_core::{DiscoveryPipeline, PipelineConfig};
 use td_serve::{
     encode_response, execute, Client, CoordServer, CoordServerConfig, Reply, Request,
-    RequestEnvelope, ResponseEnvelope, ServerConfig, ShardFleet, Status,
+    RequestEnvelope, ResponseEnvelope, ServerConfig, ShardFleet, Status, TraceConfig,
 };
 use td_table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td_table::{Table, TableId};
@@ -152,6 +153,75 @@ fn coordinator_answers_are_byte_identical_to_single_pipeline() {
         front.shutdown();
         fleet.shutdown();
     }
+}
+
+/// A single search reaches every shard as the bare frames a single
+/// always cost: the family request itself, or its shard-plane halves,
+/// and never a `batch` frame. That keeps shard cache keys, shard traces
+/// and round counts unchanged. A batch of one answers byte-identically
+/// to the single.
+#[test]
+fn coordinator_singles_keep_their_shard_traffic() {
+    let fx = fixture();
+    let mut fleet = ShardFleet::start_partitioned(
+        2,
+        &fx.ctx,
+        &fx.tables,
+        &ServerConfig {
+            workers: 2,
+            trace: TraceConfig {
+                slow_threshold_ns: 0,
+                slow_capacity: 64,
+                ..TraceConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("fleet");
+    let coord = fleet.coordinator();
+    let mut expected = BTreeSet::new();
+    for (i, req) in probes(fx).into_iter().enumerate() {
+        expected.extend(match &req {
+            Request::Keyword { .. } => vec!["keyword_stats", "keyword_scored"],
+            Request::UnionableSemantic { .. } => vec!["semantic_candidates", "semantic_scored"],
+            Request::Joinable { .. } => vec!["joinable_columns"],
+            Request::FuzzyJoinable { .. } => vec!["fuzzy_columns"],
+            other => vec![other.endpoint()],
+        });
+        let id = 100 + i as u64;
+        let single = coord.handle(&env(id, req.clone()));
+        assert_eq!(single.status, Status::Ok, "{}", req.endpoint());
+        let reply = single.reply.expect("single reply");
+        let batch = coord.handle(&env(
+            id,
+            Request::Batch {
+                requests: vec![req.clone()],
+            },
+        ));
+        assert_eq!(
+            encode_response(&batch).expect("encode"),
+            encode_response(&ResponseEnvelope::ok(id, Reply::Batch(vec![reply]))).expect("encode"),
+            "batch of one diverged from the single on {}",
+            req.endpoint()
+        );
+    }
+
+    for addr in fleet.addrs() {
+        let mut client = Client::connect(addr.as_str()).expect("connect");
+        let resp = client
+            .call(&env(1, Request::SlowQueries { n: 64 }))
+            .expect("slow queries");
+        let Some(Reply::SlowQueries(trees)) = resp.reply else {
+            panic!("expected a SlowQueries reply from shard {addr}");
+        };
+        let seen: BTreeSet<&str> = trees.iter().map(|t| t.endpoint.as_str()).collect();
+        assert_eq!(
+            seen,
+            expected.iter().copied().collect(),
+            "shard {addr} saw other frames than the singles' own"
+        );
+    }
+    fleet.shutdown();
 }
 
 /// The full admin story over a durable fleet: mutations route to owning
