@@ -38,18 +38,27 @@ where
     out.resize_with(n, || None);
     std::thread::scope(|scope| {
         let mut rest = out.as_mut_slice();
+        let mut workers = Vec::with_capacity(threads);
         for qchunk in queries.chunks(chunk) {
             let (slot, tail) = rest.split_at_mut(qchunk.len());
             rest = tail;
             let f = &f;
             // One worker per contiguous chunk; workers only touch their
-            // own output slots, and the scope joins them all before `out`
-            // is read.
-            scope.spawn(move || {
+            // own output slots.
+            workers.push(scope.spawn(move || {
                 for (s, q) in slot.iter_mut().zip(qchunk) {
                     *s = Some(f(q));
                 }
-            });
+            }));
+        }
+        // Join each worker by handle. Unlike the scope's implicit join,
+        // this waits for the thread to exit, which hands its malloc
+        // arena back before the caller spawns more threads; a late
+        // hand-back lets those take fresh arenas and raises peak RSS.
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let results: Vec<R> = out.into_iter().flatten().collect();

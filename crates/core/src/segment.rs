@@ -14,6 +14,7 @@
 //! searchable form.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
 use td_embed::model::{DomainEmbedder, NGramEmbedder};
 use td_table::gen::bench_union::RelationSpec;
@@ -21,6 +22,7 @@ use td_table::gen::domains::DomainRegistry;
 use td_table::{ColumnProfile, ColumnRef, DataLake, LakeProfile, Table, TableId};
 use td_understand::kb::KnowledgeBase;
 
+use crate::batch::run_batch;
 use crate::join::{
     ContainmentJoinSearch, CorrelatedSearch, ExactJoinSearch, FuzzyJoinSearch, MateSearch,
 };
@@ -312,18 +314,69 @@ impl TableArtifacts {
     /// Extract every component's artifact for one table.
     #[must_use]
     pub fn extract(table: &Table, ctx: &PipelineContext) -> Self {
+        let mut times = ExtractTimes::default();
+        let artifacts = Self::extract_timed(table, ctx, &mut times);
+        times.record(ctx);
+        artifacts
+    }
+
+    /// [`Self::extract`], adding each component's time to `times`.
+    fn extract_timed(table: &Table, ctx: &PipelineContext, times: &mut ExtractTimes) -> Self {
         TableArtifacts {
-            profile: LakeProfile::extract(table, ctx),
-            keyword: KeywordSearch::extract(table, ctx),
-            exact_join: ExactJoinSearch::extract(table, ctx),
-            containment_join: ContainmentJoinSearch::extract(table, ctx),
-            fuzzy_join: FuzzyJoinSearch::<NGramEmbedder>::extract(table, ctx),
-            mate: MateSearch::extract(table, ctx),
-            correlated: CorrelatedSearch::extract(table, ctx),
-            tus: TusSearch::extract(table, ctx),
-            santos: SantosSearch::extract(table, ctx),
-            starmie: StarmieSearch::<DomainEmbedder>::extract(table, ctx),
+            profile: times.time(0, || LakeProfile::extract(table, ctx)),
+            keyword: times.time(1, || KeywordSearch::extract(table, ctx)),
+            exact_join: times.time(2, || ExactJoinSearch::extract(table, ctx)),
+            containment_join: times.time(3, || ContainmentJoinSearch::extract(table, ctx)),
+            fuzzy_join: times.time(4, || FuzzyJoinSearch::<NGramEmbedder>::extract(table, ctx)),
+            mate: times.time(5, || MateSearch::extract(table, ctx)),
+            correlated: times.time(6, || CorrelatedSearch::extract(table, ctx)),
+            tus: times.time(7, || TusSearch::extract(table, ctx)),
+            santos: times.time(8, || SantosSearch::extract(table, ctx)),
+            starmie: times.time(9, || StarmieSearch::<DomainEmbedder>::extract(table, ctx)),
         }
+    }
+}
+
+/// The ten components, in [`TableArtifacts`] field order.
+const COMPONENTS: [&str; 10] = [
+    "profile",
+    "keyword",
+    "exact_join",
+    "containment_join",
+    "fuzzy_join",
+    "mate",
+    "correlated",
+    "tus",
+    "santos",
+    "starmie",
+];
+
+/// Extraction time per component (indexed like [`COMPONENTS`]), summed
+/// over tables and recorded once per build or ingest.
+#[derive(Default)]
+struct ExtractTimes([Duration; 10]);
+
+impl ExtractTimes {
+    fn time<T>(&mut self, slot: usize, f: impl FnOnce() -> T) -> T {
+        let (out, took) = td_obs::time(f);
+        self.0[slot] += took;
+        out
+    }
+
+    /// Record each component's total as one `pipeline.extract.<component>`
+    /// sample, and the size of the context's n-gram row memos (the n-gram
+    /// embedder's and the domain embedder's fallback).
+    fn record(&self, ctx: &PipelineContext) {
+        let reg = td_obs::global();
+        for (name, took) in COMPONENTS.iter().zip(self.0) {
+            reg.histogram(&format!("pipeline.extract.{name}"))
+                .record_duration(took);
+        }
+        let memos = [&ctx.ngram_emb, ctx.domain_emb.fallback()];
+        let rows: usize = memos.iter().map(|e| e.memo_rows()).sum();
+        let bytes: usize = memos.iter().map(|e| e.memo_bytes()).sum();
+        reg.gauge("embed.ngram.memo_rows").set(rows as f64);
+        reg.gauge("embed.ngram.memo_bytes").set(bytes as f64);
     }
 }
 
@@ -344,22 +397,29 @@ pub struct PipelineSegment {
 }
 
 impl PipelineSegment {
-    /// Extract every component's artifacts for every table in the view.
+    /// Extract every component's artifacts for every table in the view:
+    /// one [`TableArtifacts::extract`] pass per table, with contiguous
+    /// runs of tables on the machine's cores ([`run_batch`]). Artifacts
+    /// are inserted in view order, so the segment is the same on any
+    /// core count.
     #[must_use]
     pub fn build(view: &SegmentView<'_>, ctx: &PipelineContext) -> Self {
         let _s = td_obs::span!("pipeline.extract");
-        PipelineSegment {
-            profile: LakeProfile::build_segment(view, ctx),
-            keyword: KeywordSearch::build_segment(view, ctx),
-            exact_join: ExactJoinSearch::build_segment(view, ctx),
-            containment_join: ContainmentJoinSearch::build_segment(view, ctx),
-            fuzzy_join: FuzzyJoinSearch::<NGramEmbedder>::build_segment(view, ctx),
-            mate: MateSearch::build_segment(view, ctx),
-            correlated: CorrelatedSearch::build_segment(view, ctx),
-            tus: TusSearch::build_segment(view, ctx),
-            santos: SantosSearch::build_segment(view, ctx),
-            starmie: StarmieSearch::<DomainEmbedder>::build_segment(view, ctx),
+        let extracted = run_batch(&view.entries, |&(id, table)| {
+            let mut times = ExtractTimes::default();
+            let artifacts = TableArtifacts::extract_timed(table, ctx, &mut times);
+            (id, artifacts, times)
+        });
+        let mut segment = PipelineSegment::default();
+        let mut total = ExtractTimes::default();
+        for (id, artifacts, times) in extracted {
+            for (sum, took) in total.0.iter_mut().zip(times.0) {
+                *sum += took;
+            }
+            segment.insert_artifacts(id, artifacts);
         }
+        total.record(ctx);
+        segment
     }
 
     /// Extract and upsert one table's artifacts into this segment.

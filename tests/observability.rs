@@ -77,6 +77,25 @@ fn pipeline_emits_build_spans_and_query_histograms() {
         "missing the umbrella pipeline.build span"
     );
 
+    // The one extraction pass records each component's time once per
+    // build, and the size of the n-gram row memo.
+    let extract = snap.histograms_with_prefix("pipeline.extract.");
+    assert_eq!(
+        extract.len(),
+        10,
+        "per-component extract times: {extract:?}"
+    );
+    for name in &extract {
+        assert_eq!(snap.histogram(name).unwrap().count, 1, "{name}");
+    }
+    let rows = snap.gauge("embed.ngram.memo_rows").unwrap_or(0.0);
+    assert!(rows > 0.0, "embed.ngram.memo_rows = {rows}");
+    assert_eq!(
+        snap.gauge("embed.ngram.memo_bytes"),
+        Some(rows * 64.0 * 4.0),
+        "memo bytes are rows × dim × 4"
+    );
+
     // Every query family recorded exactly one count and one latency sample.
     for family in QUERY_FAMILIES {
         assert_eq!(
